@@ -12,7 +12,7 @@
 // clock only moves on multi-core hosts; see the num_cpu/gomaxprocs header),
 // the incremental re-profiling micros (incr_round1: every round classifies
 // in full; incr_steady: steady-state rounds served from the round cache),
-// and the fleet-construction micros (new_device vs new_device_template).
+// and the fleet-construction micro (new_device).
 //
 // Usage:
 //
@@ -95,8 +95,7 @@ func main() {
 	b.Micro = append(b.Micro, steady)
 
 	b.Micro = append(b.Micro,
-		benchfmt.Micro("new_device@ws100", measure(*quick, newDeviceBody(100))),
-		benchfmt.Micro("new_device_template@ws100", measure(*quick, newDeviceTemplateBody(100))))
+		benchfmt.Micro("new_device@ws100", measure(*quick, newDeviceBody(100))))
 
 	if err := b.WriteFile(*out); err != nil {
 		log.Fatal(err)
@@ -227,8 +226,7 @@ func incrSteadyBody(weakScale float64, rounds int) func(n int) {
 }
 
 // newDeviceBody measures fleet-member construction from the analytic vendor
-// distributions; newDeviceTemplateBody amortizes the distribution draws
-// through a shared population template (built once, outside the timer).
+// distributions.
 func newDeviceBody(weakScale float64) func(n int) {
 	cfg := dram.Config{
 		Geometry:  dram.Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256},
@@ -239,26 +237,6 @@ func newDeviceBody(weakScale float64) func(n int) {
 		for i := 0; i < n; i++ {
 			cfg.Seed = uint64(i + 1)
 			if _, err := dram.NewDevice(cfg); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-}
-
-func newDeviceTemplateBody(weakScale float64) func(n int) {
-	cfg := dram.Config{
-		Geometry:  dram.Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256},
-		Vendor:    dram.VendorB(),
-		WeakScale: weakScale,
-	}
-	tpl, err := dram.NewPopulationTemplate(cfg, 1<<16, 99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return func(n int) {
-		for i := 0; i < n; i++ {
-			cfg.Seed = uint64(i + 1)
-			if _, err := dram.NewDeviceFromTemplate(tpl, cfg); err != nil {
 				log.Fatal(err)
 			}
 		}

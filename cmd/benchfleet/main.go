@@ -4,7 +4,7 @@
 // internal/benchfmt). Two kinds of rows:
 //
 //   - fleet_dense_resident: bytes of heap resident per materialized chip,
-//     measured by holding a cohort of template-built devices live and reading
+//     measured by holding a cohort of materialized devices live and reading
 //     the GC-settled heap delta (runtime.ReadMemStats). This is the per-chip
 //     cost a dense fleet pays for every chip at once — multiply by a million
 //     and dense execution cannot run on this host.
@@ -119,17 +119,6 @@ func fleetChipConfig(seed uint64) dram.Config {
 	}
 }
 
-// fleetTemplate pre-draws the shared vendor tuple table every chip in the
-// fleet samples from; built once, outside all timers, exactly as the sweep
-// harnesses do.
-func fleetTemplate() *dram.PopulationTemplate {
-	tpl, err := dram.NewPopulationTemplate(fleetChipConfig(0), 1<<14, 99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return tpl
-}
-
 // heapNow returns the GC-settled live-heap size. Forcing a collection before
 // reading makes the number "bytes resident", not "bytes since last GC".
 func heapNow() uint64 {
@@ -143,7 +132,6 @@ func heapNow() uint64 {
 // them live — the pre-lazy fleet shape — and reports per-chip construction
 // time, allocations, and resident heap bytes.
 func denseResidentRow(cohort int) benchfmt.MicroResult {
-	tpl := fleetTemplate()
 	before := heapNow()
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
@@ -155,7 +143,7 @@ func denseResidentRow(cohort int) benchfmt.MicroResult {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if devs[i], err = ref.MaterializeFromTemplate(tpl); err != nil {
+		if devs[i], err = ref.Materialize(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -183,7 +171,6 @@ func denseResidentRow(cohort int) benchfmt.MicroResult {
 // at an extended interval, folded into a scalar, and dropped. Heap is sampled
 // (GC-settled) at shard boundaries; the peak becomes BytesPerOp.
 func lazySweepRow(label string, chips, shard, workers int) (benchfmt.MicroResult, float64) {
-	tpl := fleetTemplate()
 	pat := patterns.Checkerboard()
 	ctx := context.Background()
 	if workers > shard {
@@ -214,7 +201,7 @@ func lazySweepRow(label string, chips, shard, workers int) (benchfmt.MicroResult
 			if err != nil {
 				return 0, err
 			}
-			dev, err := ref.MaterializeFromTemplate(tpl)
+			dev, err := ref.Materialize()
 			if err != nil {
 				return 0, err
 			}

@@ -25,17 +25,17 @@ type weakCell struct {
 	// of the cell's normal failure CDF (Section 5.5).
 	sigma float64
 
-	// chargedVal is the logical value (0 or 1) stored as charge in this
-	// cell. Retention loss can only corrupt a cell storing its charged
-	// value ("true-cells" lose 1s, "anti-cells" lose 0s), which is why the
-	// paper tests patterns together with their inverses.
-	chargedVal uint8
-
 	// dpdSens in [0,1) scales how strongly the stored neighbourhood data
 	// shifts this cell's retention; dpdSeed makes the per-neighbourhood
 	// shift a stable function of the data.
 	dpdSens float64
 	dpdSeed uint64
+
+	// chargedVal is the logical value (0 or 1) stored as charge in this
+	// cell. Retention loss can only corrupt a cell storing its charged
+	// value ("true-cells" lose 1s, "anti-cells" lose 0s), which is why the
+	// paper tests patterns together with their inverses.
+	chargedVal uint8
 
 	// stuck holds the value the cell currently reads as if a past failure
 	// was restored into it by a read/refresh (the paper's Figure 1c
@@ -145,20 +145,16 @@ func (c *weakCell) failProb(elapsed, tempC float64, storedBit uint8, code uint64
 }
 
 // worstCaseFailProb returns the cell's failure probability maximized over
-// neighbourhood codes — the probability under the worst-case data pattern.
-// Used by the ground-truth oracle.
-func (c *weakCell) worstCaseFailProb(elapsed, tempC float64, v *VendorParams, now float64) float64 {
-	scale := v.muTempScale(tempC)
-	sigma := c.sigma * scale
-	base := c.muAt(now) * scale
-	best := 0.0
-	for code := uint64(0); code < dpdCodes; code++ {
-		p := stats.NormalCDF(elapsed, base*c.dpdFactor(code), sigma)
-		if p > best {
-			best = p
-		}
+// neighbourhood codes, with retention scaled by scale (muTempScale). Used by
+// the ground-truth oracle. NormalCDF is monotone non-increasing in its mean
+// and base*f monotone in f under rounding, so one CDF at the smallest
+// dpdFactor equals the 16-CDF maximum exactly.
+func (c *weakCell) worstCaseFailProb(elapsed, scale, now float64) float64 {
+	f := c.dpdFactor(0)
+	for code := uint64(1); code < dpdCodes; code++ {
+		f = min(f, c.dpdFactor(code))
 	}
-	return best
+	return stats.NormalCDF(elapsed, c.muAt(now)*scale*f, c.sigma*scale)
 }
 
 // dpdCodes is the number of distinct neighbourhood codes: 4 neighbour bits

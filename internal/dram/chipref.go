@@ -41,14 +41,6 @@ func (r ChipRef) Materialize() (*Device, error) {
 	return NewDevice(r.cfg)
 }
 
-// MaterializeFromTemplate builds the device against a shared per-vendor
-// population template (NewDeviceFromTemplate), the cheap construction path
-// fleet sweeps use. The template must match the ref's vendor and retention
-// domain; the result is deterministic in (template, ref).
-func (r ChipRef) MaterializeFromTemplate(tpl *PopulationTemplate) (*Device, error) {
-	return NewDeviceFromTemplate(tpl, r.cfg)
-}
-
 // Ref returns the handle this device can be rebuilt from. Ref().Materialize()
 // reproduces the device as constructed; divergence since construction is
 // recoverable via EncodeDelta/RestoreDelta.

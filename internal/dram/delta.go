@@ -98,12 +98,11 @@ func (d *Device) EncodeDelta(e *checkpoint.Encoder) error {
 }
 
 // RestoreDelta loads a blob produced by EncodeDelta into d, which must be a
-// *pristine* device freshly constructed with the same Config and by the same
-// construction path (NewDevice vs NewDeviceFromTemplate with the same
-// template) as the encoder's device — that is exactly what ChipRef
-// materialization provides. Pre-restore read/write activity on d is
-// tolerated (the tail overwrites content, clocks and stream positions), but
-// a device that has already been injected into cannot be a delta target.
+// *pristine* device freshly constructed by NewDevice with the same Config as
+// the encoder's device — that is exactly what ChipRef materialization
+// provides. Pre-restore read/write activity on d is tolerated (the tail
+// overwrites content, clocks and stream positions), but a device that has
+// already been injected into cannot be a delta target.
 // resolve reconstructs named pattern content, as in RestoreState.
 func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (RowData, error)) error {
 	if len(d.injected) != 0 || len(d.dpdReseeded) != 0 || len(d.vrtForced) != 0 {
@@ -136,6 +135,9 @@ func (d *Device) RestoreDelta(dec *checkpoint.Decoder, resolve func(string) (Row
 		c.stuck = -1
 		if dec.Err() != nil {
 			return dec.Err()
+		}
+		if err := checkDecodedCell(c); err != nil {
+			return err
 		}
 		if c.bit >= uint64(d.geom.TotalBits()) {
 			return fmt.Errorf("dram: delta restore: injected bit %d out of range", c.bit)

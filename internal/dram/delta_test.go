@@ -111,16 +111,7 @@ func TestDeltaEvictRematerializeTwin(t *testing.T) {
 	}
 
 	// Total-state check: both devices dense-encode byte-identically.
-	ea, eb := checkpoint.NewEncoder(), checkpoint.NewEncoder()
-	if err := orig.EncodeState(ea); err != nil {
-		t.Fatal(err)
-	}
-	if err := rem.EncodeState(eb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ea.Data(), eb.Data()) {
-		t.Fatal("re-materialized device dense-encodes differently from the never-evicted twin")
-	}
+	requireSameState(t, orig, rem)
 
 	// Segment 2: lockstep through another driven segment, including fresh
 	// injections and bursts on both sides.
@@ -144,19 +135,19 @@ func TestDeltaEvictRematerializeTwin(t *testing.T) {
 	}
 }
 
-// TestDeltaTemplateTwin proves the delta codec composes with template-based
-// materialization: a device built from a PopulationTemplate, driven, evicted
-// and re-materialized from the same template restores byte-identically.
-func TestDeltaTemplateTwin(t *testing.T) {
+// TestDeltaBankedTwin proves the delta codec composes with banked sampling
+// streams on a second vendor: a BankStreams device, driven with sharded
+// sweeps, evicted and re-materialized through its ChipRef restores
+// byte-identically.
+func TestDeltaBankedTwin(t *testing.T) {
 	cfg := deltaTestConfig()
-	tpl, err := NewPopulationTemplate(cfg, 4096, cfg.Seed)
+	cfg.Vendor = VendorC()
+	cfg.BankStreams = true
+	orig, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := NewDeviceFromTemplate(tpl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig.SetSweepWorkers(4)
 	driveScript(orig, rng.New(0x7E41), 0)
 
 	e := checkpoint.NewEncoder()
@@ -164,7 +155,7 @@ func TestDeltaTemplateTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rem, err := orig.Ref().MaterializeFromTemplate(tpl)
+	rem, err := orig.Ref().Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,16 +163,7 @@ func TestDeltaTemplateTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ea, eb := checkpoint.NewEncoder(), checkpoint.NewEncoder()
-	if err := orig.EncodeState(ea); err != nil {
-		t.Fatal(err)
-	}
-	if err := rem.EncodeState(eb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ea.Data(), eb.Data()) {
-		t.Fatal("template-materialized restore dense-encodes differently")
-	}
+	requireSameState(t, orig, rem)
 }
 
 // TestDeltaRestoreGuards pins the delta codec's refusal paths: a target with

@@ -1,10 +1,9 @@
 package dram
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"reaper/internal/rng"
 )
@@ -183,7 +182,7 @@ type Device struct {
 }
 
 // validate fills defaults and checks the config is usable; it is the shared
-// front door of NewDevice and NewDeviceFromTemplate.
+// front door of NewDevice and NewChipRef.
 func (c *Config) validate() error {
 	c.fillDefaults()
 	if err := c.Geometry.Validate(); err != nil {
@@ -209,14 +208,12 @@ func NewDevice(cfg Config) (*Device, error) {
 }
 
 // newDeviceShell builds an empty device from a validated config; the caller
-// samples the weak population (NewDevice from the vendor distributions,
-// NewDeviceFromTemplate from a pre-drawn template).
+// samples the weak population.
 func newDeviceShell(cfg Config) *Device {
 	d := &Device{
 		cfg:            cfg,
 		geom:           cfg.Geometry,
 		vend:           cfg.Vendor,
-		byRow:          make(map[uint32][]*weakCell),
 		bulkData:       zeroData{},
 		bulkComparable: true,
 		rows:           make(map[uint32]*rowState),
@@ -239,59 +236,186 @@ func newDeviceShell(cfg Config) *Device {
 // reservoir from the vendor's calibrated distributions.
 func (d *Device) sampleWeakPopulation() {
 	v := &d.vend
-	bits := float64(d.geom.TotalBits())
 	tmin, tmax := d.cfg.MinRetention, d.cfg.MaxRetention
+
+	// Latent VRT reservoir size (computed up front to size the scratch; it
+	// draws nothing): cells whose high-retention state is beyond the domain
+	// but whose low state is inside it enter the failing population at rate
+	// A(t) = count(muLow <= t) / (dwellLow + dwellHigh), so the reservoir is
+	// A(tmax) * (dwellLow + dwellHigh). Its low domain is capped: the steep
+	// VRT rate power law (Figure 4) is fit over intervals <= ~4 s and
+	// extrapolating it to tens of seconds gives a nonphysical reservoir.
+	vrtMax := min(tmax, vrtDomainMaxS)
+	latent := 0.0
+	if !d.cfg.DisableVRT {
+		dwellSum := v.VRTDwellLowHours + v.VRTDwellHighHours // hours
+		latent = v.VRTRate(vrtMax, RefTempC, d.geom.TotalBytes()) * dwellSum * d.cfg.WeakScale
+	}
 
 	// Base weak cells: retention means follow the power-law tail that
 	// produces BER(t) = BERAt1024ms * (t/1.024s)^beta at 45C.
-	expected := bits * v.BER(tmax, RefTempC) * d.cfg.WeakScale
+	expected := float64(d.geom.TotalBits()) * v.BER(tmax, RefTempC) * d.cfg.WeakScale
 	n := d.src.Poisson(expected)
-	taken := make(map[uint64]struct{}, n)
+	want := n + int(math.Ceil(latent))
+	taken := newBitSet(want)
+	freeBit := func() uint64 {
+		for {
+			if bit := d.src.Uint64n(uint64(d.geom.TotalBits())); taken.add(bit) {
+				return bit
+			}
+		}
+	}
+	sigmaLogMu := math.Log(v.SigmaLogMedianMS / 1000)
+	d.weak = make([]*weakCell, 0, want)
+	base := newPowerLaw(tmin, tmax, v.BERExponent)
 	for i := 0; i < n; i++ {
-		mu := d.samplePowerLaw(tmin, tmax, v.BERExponent)
-		d.addWeakCell(taken, mu, !d.cfg.DisableVRT && d.src.Bernoulli(v.VRTFraction), 0)
+		mu := base.sample(d.src)
+		vrt := !d.cfg.DisableVRT && d.src.Bernoulli(v.VRTFraction)
+		d.addWeakCell(freeBit(), sigmaLogMu, mu, vrt, 0)
 	}
-
-	// Latent VRT reservoir: cells whose high-retention state is beyond the
-	// domain (they never fail "normally") but whose low-retention state is
-	// inside it. In steady state they enter the failing population at rate
-	// A(t) = count(muLow <= t) / (dwellLow + dwellHigh), so the reservoir
-	// size is A(tmax) * (dwellLow + dwellHigh).
 	if !d.cfg.DisableVRT {
-		// The reservoir's low-retention domain is capped below the overall
-		// retention domain: the steep VRT rate power law (Figure 4) is a
-		// fit over the paper's tested intervals (<= ~4 s) and extrapolating
-		// it to tens of seconds would produce a nonphysical reservoir.
-		vrtMax := tmax
-		if vrtMax > vrtDomainMaxS {
-			vrtMax = vrtDomainMaxS
-		}
-		dwellSum := v.VRTDwellLowHours + v.VRTDwellHighHours // hours
-		latent := v.VRTRate(vrtMax, RefTempC, d.geom.TotalBytes()) * dwellSum * d.cfg.WeakScale
 		m := d.src.Poisson(latent)
+		low := newPowerLaw(tmin, vrtMax, v.VRTRateExponent)
 		for i := 0; i < m; i++ {
-			muLow := d.samplePowerLaw(tmin, vrtMax, v.VRTRateExponent)
-			d.addWeakCell(taken, muLow, true, tmax*10)
+			muLow := low.sample(d.src)
+			d.addWeakCell(freeBit(), sigmaLogMu, muLow, true, tmax*10)
 		}
 	}
 
-	slices.SortFunc(d.weak, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
-	for _, c := range d.weak {
-		r := d.geom.rowOfBit(c.bit)
-		d.byRow[r] = append(d.byRow[r], c)
-	}
+	scratch := sortCellsByBit(d.weak, uint64(d.geom.TotalBits()-1))
+	d.byRow = rowLists(d.weak, d.geom, scratch)
 	d.rebuildIndex()
 }
 
-// samplePowerLaw draws t in [tmin, tmax] with CDF proportional to t^beta.
-func (d *Device) samplePowerLaw(tmin, tmax, beta float64) float64 {
-	return powerLawSample(d.src, tmin, tmax, beta)
+// powerLaw draws t in [tmin, tmax] with CDF proportional to t^beta; its
+// constants are computed once per population, not once per draw.
+type powerLaw struct{ lo, hi, invBeta float64 }
+
+func newPowerLaw(tmin, tmax, beta float64) powerLaw {
+	return powerLaw{lo: math.Pow(tmin, beta), hi: math.Pow(tmax, beta), invBeta: 1 / beta}
 }
 
-// cellArenaChunk is the cell count per arena chunk: large enough that a
-// bench-scale population costs tens of allocations, small enough that a
-// sparse device does not strand much memory.
-const cellArenaChunk = 1024
+func (p powerLaw) sample(src *rng.Source) float64 {
+	u := src.Float64()
+	return math.Pow(p.lo+u*(p.hi-p.lo), p.invBeta)
+}
+
+// bitSet is an open-addressed set of bit positions (slots hold bit+1; zero
+// is empty): the hash's top bits pick a 32 KiB page, linear probing runs
+// inside it. Transient objects over 32 KiB wait for the sweeper before
+// their memory is reused and measurably raised peak heap.
+type bitSet struct {
+	pages []*[bitSetPage]uint64
+	fill  []int // occupied slots per page
+	shift uint  // 64 - log2(len(pages))
+}
+
+const bitSetPage = 4096
+
+// newBitSet returns a set that holds want bits at no more than 5/8 load.
+func newBitSet(want int) *bitSet {
+	s := &bitSet{}
+	s.alloc(1 << bits.Len(uint(want*8/5/bitSetPage)))
+	return s
+}
+
+func (s *bitSet) alloc(pages int) {
+	s.pages, s.fill = make([]*[bitSetPage]uint64, pages), make([]int, pages)
+	for i := range s.pages {
+		s.pages[i] = new([bitSetPage]uint64)
+	}
+	s.shift = 64 - uint(bits.TrailingZeros(uint(pages)))
+}
+
+// add inserts bit and reports whether it was absent. A page past 3/4 load
+// doubles the page count, which construction's sizing reaches only if the
+// reservoir draw lands far above its expectation.
+func (s *bitSet) add(bit uint64) bool {
+	h := mix64(bit)
+	p := h >> s.shift
+	if 4*(s.fill[p]+1) > 3*bitSetPage {
+		old := s.pages
+		s.alloc(2 * len(old))
+		for _, page := range old {
+			for _, k := range page {
+				if k != 0 {
+					s.add(k - 1)
+				}
+			}
+		}
+		return s.add(bit)
+	}
+	page := s.pages[p]
+	for i := h % bitSetPage; ; i = (i + 1) % bitSetPage {
+		switch page[i] {
+		case 0:
+			page[i] = bit + 1
+			s.fill[p]++
+			return true
+		case bit + 1:
+			return false
+		}
+	}
+}
+
+// radixBits is the digit width of the radix sorts over the weak population
+// (sortCellsByBit's LSD passes here, sortIndex's MSD levels in index.go).
+const (
+	radixBits    = 8
+	radixBuckets = 1 << radixBits
+)
+
+// sortCellsByBit sorts cells (bits at most maxBit) by bit with a stable LSD
+// radix sort through one pointer scratch, and returns the scratch for reuse.
+func sortCellsByBit(cells []*weakCell, maxBit uint64) []*weakCell {
+	digits := (bits.Len64(maxBit) + radixBits - 1) / radixBits
+	var count [8][radixBuckets]int
+	for _, c := range cells {
+		for k := 0; k < digits; k++ {
+			count[k][c.bit>>(k*radixBits)%radixBuckets]++
+		}
+	}
+	src, dst := cells, make([]*weakCell, len(cells))
+	for k := 0; k < digits; k++ {
+		for b, sum := 0, 0; b < radixBuckets; b++ {
+			count[k][b], sum = sum, sum+count[k][b]
+		}
+		for _, c := range src {
+			b := c.bit >> (k * radixBits) % radixBuckets
+			dst[count[k][b]] = c
+			count[k][b]++
+		}
+		src, dst = dst, src
+	}
+	if digits%2 == 1 {
+		copy(cells, src)
+		return src
+	}
+	return dst
+}
+
+// rowLists groups a bit-sorted population into per-row lists over a copy in
+// backing, never weak's own array (insertWeakCell's slices.Insert on a row
+// would shift d.weak in place). Each list is capped at its length, so
+// growing a row reallocates it rather than overwriting its neighbour.
+func rowLists(weak []*weakCell, g Geometry, backing []*weakCell) map[uint32][]*weakCell {
+	cells := backing[:copy(backing, weak)]
+	byRow := make(map[uint32][]*weakCell)
+	for i := 0; i < len(cells); {
+		row := g.rowOfBit(cells[i].bit)
+		j := i + 1
+		for j < len(cells) && g.rowOfBit(cells[j].bit) == row {
+			j++
+		}
+		byRow[row] = cells[i:j:j]
+		i = j
+	}
+	return byRow
+}
+
+// cellArenaChunk is the cell count per arena chunk: 448 cells of 72 bytes
+// fit the 32 KiB size class (see bitSet) and a sparse device strands little.
+const cellArenaChunk = 448
 
 // allocCell returns a zeroed weakCell carved from the device's chunked
 // arena. Chunks are never reallocated once a cell has been handed out, so
@@ -304,21 +428,14 @@ func (d *Device) allocCell() *weakCell {
 	return &d.cellArena[len(d.cellArena)-1]
 }
 
-// addWeakCell creates one weak cell at a fresh random bit position.
-// muHighOverride > 0 forces the VRT high-retention state to that value
-// (used for the latent reservoir); otherwise a VRT cell's high state is a
-// random multiple of its low state.
-func (d *Device) addWeakCell(taken map[uint64]struct{}, mu float64, vrt bool, muHighOverride float64) {
-	var bit uint64
-	for {
-		bit = d.src.Uint64n(uint64(d.geom.TotalBits()))
-		if _, dup := taken[bit]; !dup {
-			taken[bit] = struct{}{}
-			break
-		}
-	}
+// addWeakCell creates one weak cell at bit, a position no other cell holds;
+// sigmaLogMu is the log-median of the sigma distribution. muHighOverride > 0
+// forces the VRT high-retention state to that value (used for the latent
+// reservoir); otherwise a VRT cell's high state is a random multiple of its
+// low state.
+func (d *Device) addWeakCell(bit uint64, sigmaLogMu, mu float64, vrt bool, muHighOverride float64) {
 	v := &d.vend
-	sigma := d.src.LogNormal(math.Log(v.SigmaLogMedianMS/1000), v.SigmaLogSigma)
+	sigma := d.src.LogNormal(sigmaLogMu, v.SigmaLogSigma)
 	if sigmaCap := mu / 5; sigma > sigmaCap {
 		sigma = sigmaCap
 	}
@@ -327,16 +444,13 @@ func (d *Device) addWeakCell(taken map[uint64]struct{}, mu float64, vrt bool, mu
 		u := d.src.Float64()
 		sens = v.DPDStrength * u * u
 	}
+	// Field by field, in draw order: a literal would be copied in via the stack.
 	c := d.allocCell()
-	*c = weakCell{
-		bit:        bit,
-		mu:         mu,
-		sigma:      sigma,
-		chargedVal: uint8(d.src.Intn(2)),
-		dpdSens:    sens,
-		dpdSeed:    d.src.Uint64(),
-		stuck:      -1,
-	}
+	c.bit, c.mu, c.sigma = bit, mu, sigma
+	c.chargedVal = uint8(d.src.Intn(2))
+	c.dpdSens = sens
+	c.dpdSeed = d.src.Uint64()
+	c.stuck = -1
 	if vrt {
 		muHigh := muHighOverride
 		if muHigh <= 0 {

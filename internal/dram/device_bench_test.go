@@ -123,8 +123,7 @@ func BenchmarkReadCompareAllBanked(b *testing.B) {
 }
 
 // BenchmarkNewDevice measures fleet-member construction from the analytic
-// distributions; BenchmarkNewDeviceFromTemplate is the amortized path that
-// replaces the expensive per-cell draws with table picks.
+// distributions.
 func BenchmarkNewDevice(b *testing.B) {
 	cfg := Config{
 		Geometry:  Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256},
@@ -136,29 +135,6 @@ func BenchmarkNewDevice(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
 		if _, err := NewDevice(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNewDeviceFromTemplate measures template-amortized construction at
-// the same density as BenchmarkNewDevice (template build cost excluded: it is
-// paid once per vendor, not per chip).
-func BenchmarkNewDeviceFromTemplate(b *testing.B) {
-	cfg := Config{
-		Geometry:  Geometry{Banks: 8, RowsPerBank: 256, WordsPerRow: 256},
-		Vendor:    VendorB(),
-		WeakScale: 100,
-	}
-	tpl, err := NewPopulationTemplate(cfg, 1<<16, 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := NewDeviceFromTemplate(tpl, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,33 +99,63 @@ func (s IndexStats) Sub(o IndexStats) IndexStats {
 // IndexStats returns the device's cumulative sparse-index counters.
 func (d *Device) IndexStats() IndexStats { return d.idx }
 
-// rebuildIndex (re)derives the activation index from the weak population.
-// Ties on key are broken by bit index so the order is fully deterministic.
-// Keys are computed once up front rather than inside the comparator:
-// activationKey is pure, so sorting precomputed (key, cell) pairs yields the
-// same order while keeping the dominant construction sort off the float math.
+// rebuildIndex (re)derives the activation index from the weak population:
+// keys computed once into actKeys, then sorted in place with actCells by
+// sortIndex, with no scratch arrays.
 func (d *Device) rebuildIndex() {
-	type keyedCell struct {
-		key float64
-		c   *weakCell
-	}
-	ks := make([]keyedCell, len(d.weak))
+	d.actKeys, d.actCells = make([]float64, len(d.weak)), slices.Clone(d.weak)
 	for i, c := range d.weak {
-		ks[i] = keyedCell{activationKey(c), c}
+		d.actKeys[i] = activationKey(c)
 	}
-	slices.SortFunc(ks, func(a, b keyedCell) int {
-		// Lazy tie-break: cmp.Or would dereference both cells on every
-		// comparison; keys almost never tie, so branch first.
-		if r := cmp.Compare(a.key, b.key); r != 0 {
-			return r
+	sortIndex(d.actKeys, d.actCells, 64-radixBits)
+}
+
+// sortIndex sorts keys ascending with ties broken by bit, permuting cells
+// alongside: an in-place MSD radix sort (American flag sort) on the digit of
+// the keys' IEEE-754 bits at shift, finished by insertion sort by (key, bit)
+// on small buckets. Bit order is float order for the positive finite keys
+// construction and checkDecodedCell guarantee.
+func sortIndex(keys []float64, cells []*weakCell, shift uint) {
+	if shift >= 64 {
+		// Every key in the bucket is equal (a restored blob may hold many
+		// identical cells): order by bit alone, in O(n log n).
+		slices.SortFunc(cells, func(a, b *weakCell) int { return cmp.Compare(a.bit, b.bit) })
+		return
+	}
+	if len(keys) <= 24 {
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && (keys[j] < keys[j-1] || keys[j] == keys[j-1] && cells[j].bit < cells[j-1].bit); j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+				cells[j], cells[j-1] = cells[j-1], cells[j]
+			}
 		}
-		return cmp.Compare(a.c.bit, b.c.bit)
-	})
-	d.actCells = make([]*weakCell, len(ks))
-	d.actKeys = make([]float64, len(ks))
-	for i, k := range ks {
-		d.actCells[i] = k.c
-		d.actKeys[i] = k.key
+		return
+	}
+	var next, end [radixBuckets]int
+	for _, k := range keys {
+		end[math.Float64bits(k)>>shift%radixBuckets]++
+	}
+	for b, sum := 0, 0; b < radixBuckets; b++ {
+		next[b] = sum
+		sum += end[b]
+		end[b] = sum
+	}
+	for b := range next {
+		for i := next[b]; i < end[b]; i = next[b] {
+			if d := math.Float64bits(keys[i]) >> shift % radixBuckets; d != uint64(b) {
+				j := next[d]
+				keys[i], keys[j] = keys[j], keys[i]
+				cells[i], cells[j] = cells[j], cells[i]
+				next[d]++
+				continue
+			}
+			next[b]++
+		}
+	}
+	lo := 0
+	for _, hi := range end {
+		sortIndex(keys[lo:hi], cells[lo:hi], shift-radixBits)
+		lo = hi
 	}
 }
 

@@ -70,7 +70,7 @@ func (d *Device) newInjectedCell(src *rng.Source, bit uint64, maxMuSeconds float
 	if tmax < tmin {
 		tmax = tmin
 	}
-	mu := powerLawSample(src, tmin, tmax, v.BERExponent)
+	mu := newPowerLaw(tmin, tmax, v.BERExponent).sample(src)
 	sigma := src.LogNormal(math.Log(v.SigmaLogMedianMS/1000), v.SigmaLogSigma)
 	if sigmaCap := mu / 5; sigma > sigmaCap {
 		sigma = sigmaCap
@@ -212,13 +212,4 @@ func (d *Device) VRTCellsInLow(maxMuLowSeconds, now float64) (inLow, total int) 
 		}
 	}
 	return inLow, total
-}
-
-// powerLawSample draws t in [tmin, tmax] with CDF proportional to t^beta
-// from the given stream (the stream-parameterized form of samplePowerLaw).
-func powerLawSample(src *rng.Source, tmin, tmax, beta float64) float64 {
-	u := src.Float64()
-	lo := math.Pow(tmin, beta)
-	hi := math.Pow(tmax, beta)
-	return math.Pow(lo+u*(hi-lo), 1/beta)
 }

@@ -1,6 +1,10 @@
 package dram
 
-import "sort"
+import (
+	"sort"
+
+	"reaper/internal/stats"
+)
 
 // This file exposes the device's latent ground truth. Real chips have no
 // such interface — profiling mechanisms only ever see read/write results —
@@ -48,7 +52,7 @@ func (d *Device) CellFailProb(bit uint64, tREFI, tempC, now float64) float64 {
 	if i >= len(d.weak) || d.weak[i].bit != bit {
 		return 0
 	}
-	return d.weak[i].worstCaseFailProb(tREFI, tempC, &d.vend, now)
+	return d.weak[i].worstCaseFailProb(tREFI, d.vend.muTempScale(tempC), now)
 }
 
 // TrueFailingSet returns the ground-truth set of failing cells at the target
@@ -58,16 +62,31 @@ func (d *Device) CellFailProb(bit uint64, tREFI, tempC, now float64) float64 {
 // the paper's "all possible failing cells at the target refresh interval"
 // (the limit of infinite brute-force iterations over all data patterns).
 //
-// A typical threshold is OracleThreshold.
+// A typical threshold is OracleThreshold. Cells whose activation key
+// (index.go) exceeds tREFI at this temperature cannot reach
+// unreachableFailProb under any pattern or VRT state and are not evaluated,
+// but still advance their VRT state to now, as evaluation would.
 func (d *Device) TrueFailingSet(tREFI, tempC, now, threshold float64) []uint64 {
+	scale := d.vend.muTempScale(tempC)
+	skip := threshold >= unreachableFailProb
 	var out []uint64
 	for _, c := range d.weak {
-		if c.worstCaseFailProb(tREFI, tempC, &d.vend, now) >= threshold {
+		if skip && activationKey(c)*scale > tREFI {
+			if c.vrt != nil {
+				c.vrt.advance(now)
+			}
+			continue
+		}
+		if c.worstCaseFailProb(tREFI, scale, now) >= threshold {
 			out = append(out, c.bit)
 		}
 	}
 	return out
 }
+
+// unreachableFailProb (~2.3e-4) bounds the probability of every cell
+// TrueFailingSet skips; thresholds below it evaluate every cell.
+var unreachableFailProb = stats.NormalCDF(-zClip, 0, 1)
 
 // OracleThreshold is the default minimum single-read worst-case failure
 // probability for a cell to count as a "possible failing cell" at given

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"reaper/internal/checkpoint"
@@ -339,7 +340,6 @@ func (d *Device) RestoreState(dec *checkpoint.Decoder, resolve func(string) (Row
 		return dec.Err()
 	}
 	d.weak = make([]*weakCell, 0, n)
-	d.byRow = make(map[uint32][]*weakCell, n)
 	var prevBit uint64
 	for i := 0; i < n; i++ {
 		c := d.allocCell()
@@ -365,14 +365,16 @@ func (d *Device) RestoreState(dec *checkpoint.Decoder, resolve func(string) (Row
 		if dec.Err() != nil {
 			return dec.Err()
 		}
+		if err := checkDecodedCell(c); err != nil {
+			return err
+		}
 		if i > 0 && c.bit <= prevBit {
 			return fmt.Errorf("dram: restore: weak cells not in ascending bit order at %d", i)
 		}
 		prevBit = c.bit
 		d.weak = append(d.weak, c)
-		row := d.geom.rowOfBit(c.bit)
-		d.byRow[row] = append(d.byRow[row], c)
 	}
+	d.byRow = rowLists(d.weak, d.geom, make([]*weakCell, len(d.weak)))
 
 	ns := dec.Len(maxRestoreCells)
 	d.stuckList = make([]*weakCell, 0, ns)
@@ -419,6 +421,19 @@ func (d *Device) RestoreState(dec *checkpoint.Decoder, resolve func(string) (Row
 	}
 
 	return d.restoreDeviceTail(dec, resolve)
+}
+
+// checkDecodedCell rejects decoded parameters construction and injection
+// never produce (mu not positive and finite, sigma outside [0, mu/5], DPD
+// sensitivity negative or non-finite): the activation index's radix sort
+// and the oracle's skip rely on positive finite keys and dpdFactor >= 1.
+func checkDecodedCell(c *weakCell) error {
+	if !(c.mu > 0) || math.IsInf(c.mu, 1) || !(c.sigma >= 0) || c.sigma > c.mu/5 ||
+		!(c.dpdSens >= 0) || math.IsInf(c.dpdSens, 1) {
+		return fmt.Errorf("dram: restore: cell at bit %d has impossible parameters (mu %v, sigma %v, dpd %v)",
+			c.bit, c.mu, c.sigma, c.dpdSens)
+	}
+	return nil
 }
 
 // decodeCellAt reads a weak-slice index and resolves it to the cell.

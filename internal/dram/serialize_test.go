@@ -2,6 +2,7 @@ package dram
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 
@@ -240,6 +241,40 @@ func TestDeviceRestoreTruncated(t *testing.T) {
 		}
 		if err := fresh.RestoreState(checkpoint.NewDecoder(blob[:cut]), resolvePattern); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
+		}
+	}
+}
+
+// TestRestoreRejectsImpossibleCells feeds dense and delta blobs carrying a
+// cell construction and injection can never produce, and requires both
+// restores to fail instead of indexing it.
+func TestRestoreRejectsImpossibleCells(t *testing.T) {
+	cfg := deltaTestConfig()
+	for name, corrupt := range map[string]func(c *weakCell){
+		"mu NaN":           func(c *weakCell) { c.mu = math.NaN() },
+		"mu +Inf":          func(c *weakCell) { c.mu = math.Inf(1) },
+		"mu zero":          func(c *weakCell) { c.mu, c.sigma = 0, 0 },
+		"mu negative":      func(c *weakCell) { c.mu = -1 },
+		"sigma NaN":        func(c *weakCell) { c.sigma = math.NaN() },
+		"sigma negative":   func(c *weakCell) { c.sigma = -1e-3 },
+		"sigma above mu/5": func(c *weakCell) { c.sigma = c.mu / 4 },
+		"dpdSens negative": func(c *weakCell) { c.dpdSens = -0.1 },
+	} {
+		for _, delta := range []bool{false, true} {
+			d := testDevice(t, 0, func(c *Config) { *c = cfg })
+			bits := d.InjectWeakCells(rng.New(9), 1, 0, 0)
+			corrupt(d.weak[d.cellIndexOf(&weakCell{bit: bits[0]})])
+			e, fresh := checkpoint.NewEncoder(), testDevice(t, 0, func(c *Config) { *c = cfg })
+			encode, restore := d.EncodeState, fresh.RestoreState
+			if delta {
+				encode, restore = d.EncodeDelta, fresh.RestoreDelta
+			}
+			if err := encode(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := restore(checkpoint.NewDecoder(e.Data()), resolvePattern); err == nil {
+				t.Errorf("%s (delta %v): corrupt cell restored without error", name, delta)
+			}
 		}
 	}
 }
