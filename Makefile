@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-go bench-parallel bench-fleet benchdiff fleet-quick soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
+.PHONY: all build vet test race check bench-go soak-quick soak-resume-quick serve-quick lint lint-json lint-fixtures
 
 all: check
 
@@ -30,7 +30,10 @@ soak-quick:
 # soak-resume-quick is the crash-safe-resume drill (DESIGN.md section 8):
 # run the quick soak with checkpointing and stop at the first barrier
 # (exit 4, resumable interrupt), resume it, and require the resumed report
-# to be byte-identical to an uninterrupted run of the same seed.
+# to be byte-identical to an uninterrupted run of the same seed. The
+# eviction leg (-shard-size 1) drops every chip at every barrier and
+# rebuilds it from its seed plus delta blob (DESIGN.md section 10); its
+# report must match the same uninterrupted run.
 RESUME_DIR := /tmp/reaper-resume-quick
 soak-resume-quick:
 	rm -rf $(RESUME_DIR) && mkdir -p $(RESUME_DIR)
@@ -43,14 +46,10 @@ soak-resume-quick:
 	$(RESUME_DIR)/soak -quick -seed 1 -checkpoint-dir $(RESUME_DIR)/ckpt \
 		-checkpoint-every 8 -resume -out $(RESUME_DIR)/resumed.json
 	cmp $(RESUME_DIR)/ref.json $(RESUME_DIR)/resumed.json
-	@echo "soak-resume-quick: resumed report byte-identical to uninterrupted run"
-
-# fleet-quick is the lazy-execution byte-identity gate: sweep one small
-# population through the legacy, sharded, and dense executors at 1 and
-# default workers and require every JSON report byte-identical
-# (DESIGN.md section 10). Exits non-zero on any divergence.
-fleet-quick:
-	$(GO) run ./cmd/benchfleet -parity
+	$(RESUME_DIR)/soak -quick -seed 1 -checkpoint-dir $(RESUME_DIR)/evict \
+		-checkpoint-every 8 -shard-size 1 -out $(RESUME_DIR)/evicted.json
+	cmp $(RESUME_DIR)/ref.json $(RESUME_DIR)/evicted.json
+	@echo "soak-resume-quick: resumed and evicting reports byte-identical to uninterrupted run"
 
 # serve-quick is the profiling-service smoke test: cmd/reaperd -selftest
 # starts the daemon on a loopback port, submits a small test program twice
@@ -78,38 +77,9 @@ lint-json:
 lint-fixtures:
 	$(GO) test -race -short ./internal/lint
 
-check: build vet lint race fleet-quick soak-quick soak-resume-quick serve-quick
-
-# bench regenerates BENCH_device.json: the device read-path microbenchmarks
-# (ReadCompareAll / RestoreAll) at three weak-cell densities, with the
-# pre-sparse-index seed numbers pinned alongside for comparison.
-bench:
-	$(GO) run ./cmd/benchdevice -out BENCH_device.json
+check: build vet lint race soak-quick soak-resume-quick serve-quick
 
 # bench-go runs every go-test benchmark once (compile/behavior smoke, not a
 # measurement).
 bench-go:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# bench-parallel regenerates BENCH_parallel.json: sequential vs parallel
-# wall-clock for the population, tradeoff and banked-device sweeps plus
-# device read-path microbenchmarks.
-bench-parallel:
-	$(GO) run ./cmd/benchparallel -out BENCH_parallel.json
-
-# bench-fleet regenerates BENCH_fleet.json: dense bytes-per-chip resident
-# plus lazy shard-sweep peak heap and chips/sec at 1k/100k/1M chips. The 1M
-# row takes minutes; CI smokes the same path with -quick instead.
-bench-fleet:
-	$(GO) run ./cmd/benchfleet -out BENCH_fleet.json
-
-# benchdiff measures fresh device and fleet baselines and compares them
-# against the committed BENCH_device.json / BENCH_fleet.json, failing on
-# >25% ns/op regressions in named micros — and, for the fleet rows, >25%
-# bytes/op growth (peak heap or resident bytes per chip: the lazy-execution
-# budget). Timing-sensitive: advisory on shared/loaded machines.
-benchdiff:
-	$(GO) run ./cmd/benchdevice -out /tmp/reaper-bench-fresh.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_device.json -fresh /tmp/reaper-bench-fresh.json -max-regress 0.25
-	$(GO) run ./cmd/benchfleet -quick -out /tmp/reaper-bench-fleet-fresh.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_fleet.json -fresh /tmp/reaper-bench-fleet-fresh.json -max-regress 0.25 -max-bytes-regress 0.25

@@ -2,10 +2,13 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"reaper/internal/rng"
@@ -192,6 +195,43 @@ func TestStoreIdentityMismatch(t *testing.T) {
 	}
 	if _, _, err := st.Load(Identity([]byte("config-B"))); !errors.Is(err, ErrIdentityMismatch) {
 		t.Fatalf("err = %v, want ErrIdentityMismatch", err)
+	}
+}
+
+// TestStoreRejectsOldFormatVersion rewrites a valid manifest to version 1:
+// Load must refuse it with the version error instead of handing blobs of an
+// older layout to a decoder that would misread them.
+func TestStoreRejectsOldFormatVersion(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := Identity([]byte("cfg"))
+	if err := st.Save(1, id, snap(1, "state")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Version = 1
+	raw, err = json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = st.Load(id)
+	want := fmt.Sprintf("format version 1, want %d", FormatVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want the %q refusal", err, want)
 	}
 }
 

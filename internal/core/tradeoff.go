@@ -91,8 +91,7 @@ func (c *TradeoffConfig) fill() error {
 
 // TradeoffPoint is the measured outcome at one reach condition. The JSON
 // field names follow the repository-wide lower_snake_case convention
-// (API.md "Naming convention") shared with internal/benchfmt and
-// internal/testprog.
+// (API.md "Naming convention") shared with internal/testprog.
 type TradeoffPoint struct {
 	Reach ReachConditions `json:"reach"`
 

@@ -10,8 +10,8 @@ import (
 // The delta codec is the compact checkpoint surface for seed-reconstructible
 // devices: instead of serializing the whole weak-cell population (the dense
 // EncodeState, O(weak cells) — megabytes at fleet scale), EncodeDelta
-// records only how the device has *diverged* from what Materialize-ing its
-// ChipRef would rebuild, plus the shared tail (content, clocks, row
+// records only how the device has *diverged* from what NewDevice with its
+// Config would rebuild, plus the shared tail (content, clocks, row
 // deviations, stream positions, counters, round cache) that both codecs
 // carry. RestoreDelta replays the divergence onto a freshly constructed
 // device of the same Config.
@@ -97,9 +97,23 @@ func (d *Device) EncodeDelta(e *checkpoint.Encoder) error {
 	return d.encodeDeviceTail(e)
 }
 
+// ChipRef is the construction input a device can be rebuilt from. The soak
+// replica of the benchmark (_bench) rematerializes evicted chips through it.
+type ChipRef struct {
+	cfg Config
+}
+
+// Materialize builds a brand-new device from the ref: the same population
+// and stream positions as the device at construction.
+func (r ChipRef) Materialize() (*Device, error) { return NewDevice(r.cfg) }
+
+// Ref returns the handle this device can be rebuilt from; divergence since
+// construction is recoverable via EncodeDelta/RestoreDelta.
+func (d *Device) Ref() ChipRef { return ChipRef{cfg: d.cfg} }
+
 // RestoreDelta loads a blob produced by EncodeDelta into d, which must be a
 // *pristine* device freshly constructed by NewDevice with the same Config as
-// the encoder's device — that is exactly what ChipRef materialization
+// the encoder's device — that is exactly what Ref().Materialize()
 // provides. Pre-restore read/write activity on d is tolerated (the tail
 // overwrites content, clocks and stream positions), but a device that has
 // already been injected into cannot be a delta target.

@@ -12,8 +12,8 @@ import (
 // This file is the device's checkpoint surface: EncodeState captures every
 // piece of mutable device state — the weak population (including injected
 // cells and per-cell VRT stream positions), the stuck overlay in its live
-// list order, row deviations, the sampling stream positions, the sparse-
-// index/round-cache/bank counters, and the incremental round cache itself —
+// list order, row deviations, the sampling stream position, the sparse-
+// index/round-cache counters, and the incremental round cache itself —
 // so that RestoreState into a freshly constructed device of the same Config
 // yields a device whose future behavior (reads, draws, counters, cache
 // hits) is bit-identical to the original's.
@@ -238,18 +238,12 @@ func (d *Device) encodeDeviceTail(e *checkpoint.Encoder) error {
 
 	// Stream positions.
 	encodeSrcState(e, d.src)
-	e.Len(len(d.bankSrcs))
-	for _, s := range d.bankSrcs {
-		encodeSrcState(e, s)
-	}
 
 	// Counters.
 	e.U64(d.idx.Skipped)
 	e.U64(d.idx.Flipped)
 	e.U64(d.idx.Sampled)
 	e.U64(d.idx.Slowpath)
-	e.U64(d.bank.BankedSweeps)
-	e.U64(d.bank.BankShards)
 	e.U64(d.incr.FastSweeps)
 	e.U64(d.incr.FullSweeps)
 	e.U64(d.incr.ReusedCells)
@@ -493,23 +487,11 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 	}
 
 	d.src.SetState(decodeSrcState(dec))
-	nb := dec.Len(1 << 16)
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	if nb != len(d.bankSrcs) {
-		return fmt.Errorf("dram: restore: %d bank streams in blob, device has %d", nb, len(d.bankSrcs))
-	}
-	for i := 0; i < nb; i++ {
-		d.bankSrcs[i].SetState(decodeSrcState(dec))
-	}
 
 	d.idx.Skipped = dec.U64()
 	d.idx.Flipped = dec.U64()
 	d.idx.Sampled = dec.U64()
 	d.idx.Slowpath = dec.U64()
-	d.bank.BankedSweeps = dec.U64()
-	d.bank.BankShards = dec.U64()
 	d.incr.FastSweeps = dec.U64()
 	d.incr.FullSweeps = dec.U64()
 	d.incr.ReusedCells = dec.U64()
@@ -563,7 +545,6 @@ func (d *Device) restoreDeviceTail(dec *checkpoint.Decoder, resolve func(string)
 	}
 
 	d.rebuildIndex()
-	d.shards = nil
 	d.band = d.band[:0]
 	d.failScratch = d.failScratch[:0]
 	return nil

@@ -72,108 +72,89 @@ func driveScript(d *Device, ops *rng.Source, start float64) []uint64 {
 // second segment. Every read, every counter, and the final re-encoded state
 // must match exactly — any drift means the codec lost state.
 func TestDeviceStateRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		bankStreams bool
-		workers     int
-	}{
-		{"dense", false, 0},
-		{"banked-sharded", true, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				Geometry:    Geometry{Banks: 8, RowsPerBank: 64, WordsPerRow: 256},
-				Vendor:      VendorB(),
-				Seed:        77,
-				WeakScale:   20,
-				BankStreams: tc.bankStreams,
-			}
-			orig, err := NewDevice(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.workers > 0 {
-				orig.SetSweepWorkers(tc.workers)
-			}
-			if orig.WeakCellCount() == 0 {
-				t.Fatal("degenerate test: no weak cells")
-			}
+	t.Run("dense", func(t *testing.T) {
+		cfg := Config{
+			Geometry:  Geometry{Banks: 8, RowsPerBank: 64, WordsPerRow: 256},
+			Vendor:    VendorB(),
+			Seed:      77,
+			WeakScale: 20,
+		}
+		orig, err := NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if orig.WeakCellCount() == 0 {
+			t.Fatal("degenerate test: no weak cells")
+		}
 
-			// Segment 1: reach a messy mid-campaign state.
-			driveScript(orig, rng.New(0x5EC1), 0)
+		// Segment 1: reach a messy mid-campaign state.
+		driveScript(orig, rng.New(0x5EC1), 0)
 
-			enc := checkpoint.NewEncoder()
-			if err := orig.EncodeState(enc); err != nil {
-				t.Fatal(err)
-			}
-			blob := enc.Data()
+		enc := checkpoint.NewEncoder()
+		if err := orig.EncodeState(enc); err != nil {
+			t.Fatal(err)
+		}
+		blob := enc.Data()
 
-			restored, err := NewDevice(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.workers > 0 {
-				restored.SetSweepWorkers(tc.workers)
-			}
-			if err := restored.RestoreState(checkpoint.NewDecoder(blob), resolvePattern); err != nil {
-				t.Fatal(err)
-			}
+		restored, err := NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.RestoreState(checkpoint.NewDecoder(blob), resolvePattern); err != nil {
+			t.Fatal(err)
+		}
 
-			// Restored state must re-encode byte-identically (encoding is
-			// deterministic and restore is lossless).
-			enc2 := checkpoint.NewEncoder()
-			if err := restored.EncodeState(enc2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(blob, enc2.Data()) {
-				t.Fatalf("re-encoded state differs: %d vs %d bytes", len(blob), len(enc2.Data()))
-			}
+		// Restored state must re-encode byte-identically (encoding is
+		// deterministic and restore is lossless).
+		enc2 := checkpoint.NewEncoder()
+		if err := restored.EncodeState(enc2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, enc2.Data()) {
+			t.Fatalf("re-encoded state differs: %d vs %d bytes", len(blob), len(enc2.Data()))
+		}
 
-			// Segment 2: lockstep. Separate-but-identical op streams so
-			// injections draw the same values on both sides.
-			failsA := driveScript(orig, rng.New(0x0B5E), 30)
-			failsB := driveScript(restored, rng.New(0x0B5E), 30)
-			if !slices.Equal(failsA, failsB) {
-				t.Fatalf("post-restore fail streams diverge: %d vs %d fails", len(failsA), len(failsB))
+		// Segment 2: lockstep. Separate-but-identical op streams so
+		// injections draw the same values on both sides.
+		failsA := driveScript(orig, rng.New(0x0B5E), 30)
+		failsB := driveScript(restored, rng.New(0x0B5E), 30)
+		if !slices.Equal(failsA, failsB) {
+			t.Fatalf("post-restore fail streams diverge: %d vs %d fails", len(failsA), len(failsB))
+		}
+		if orig.IndexStats() != restored.IndexStats() {
+			t.Errorf("index stats diverge: %+v vs %+v", orig.IndexStats(), restored.IndexStats())
+		}
+		if orig.IncrStats() != restored.IncrStats() {
+			t.Errorf("incremental stats diverge: %+v vs %+v", orig.IncrStats(), restored.IncrStats())
+		}
+		ra, fa := orig.Stats()
+		rb, fb := restored.Stats()
+		if ra != rb || fa != fb {
+			t.Errorf("device stats diverge: (%d,%d) vs (%d,%d)", ra, fa, rb, fb)
+		}
+		for i := range orig.weak {
+			if orig.weak[i].stuck != restored.weak[i].stuck {
+				t.Fatalf("cell %d (bit %d): stuck %d vs %d", i, orig.weak[i].bit,
+					orig.weak[i].stuck, restored.weak[i].stuck)
 			}
-			if orig.IndexStats() != restored.IndexStats() {
-				t.Errorf("index stats diverge: %+v vs %+v", orig.IndexStats(), restored.IndexStats())
-			}
-			if orig.IncrStats() != restored.IncrStats() {
-				t.Errorf("incremental stats diverge: %+v vs %+v", orig.IncrStats(), restored.IncrStats())
-			}
-			if orig.BankStats() != restored.BankStats() {
-				t.Errorf("bank stats diverge: %+v vs %+v", orig.BankStats(), restored.BankStats())
-			}
-			ra, fa := orig.Stats()
-			rb, fb := restored.Stats()
-			if ra != rb || fa != fb {
-				t.Errorf("device stats diverge: (%d,%d) vs (%d,%d)", ra, fa, rb, fb)
-			}
-			for i := range orig.weak {
-				if orig.weak[i].stuck != restored.weak[i].stuck {
-					t.Fatalf("cell %d (bit %d): stuck %d vs %d", i, orig.weak[i].bit,
-						orig.weak[i].stuck, restored.weak[i].stuck)
-				}
-			}
-			if orig.IncrStats().FastSweeps == 0 {
-				t.Error("script never hit the round cache; test exercised nothing")
-			}
+		}
+		if orig.IncrStats().FastSweeps == 0 {
+			t.Error("script never hit the round cache; test exercised nothing")
+		}
 
-			// Final states must also re-encode identically after the lockstep
-			// segment (the restored device did not silently drift internally).
-			encA, encB := checkpoint.NewEncoder(), checkpoint.NewEncoder()
-			if err := orig.EncodeState(encA); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.EncodeState(encB); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(encA.Data(), encB.Data()) {
-				t.Fatal("final states encode differently after lockstep segment")
-			}
-		})
-	}
+		// Final states must also re-encode identically after the lockstep
+		// segment (the restored device did not silently drift internally).
+		encA, encB := checkpoint.NewEncoder(), checkpoint.NewEncoder()
+		if err := orig.EncodeState(encA); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.EncodeState(encB); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encA.Data(), encB.Data()) {
+			t.Fatal("final states encode differently after lockstep segment")
+		}
+	})
 }
 
 // TestDeviceRestoreRejectsMismatch pins the in-band guards: a blob restored

@@ -62,13 +62,11 @@ func (c ChipSpec) withDefaults() ChipSpec {
 	return c
 }
 
-// Ref returns the compact seed-derived handle for this spec's device. The
-// ref — not a live *dram.Device — is the unit of fleet state: a sweep over
-// a million chips holds a million refs (a few words each) and materializes
-// only the shard currently being swept.
-func (c ChipSpec) Ref() (dram.ChipRef, error) {
+// NewStation builds the station for a spec: a freshly constructed device,
+// plus a settled chamber when the spec asks for one.
+func (c ChipSpec) NewStation() (*memctrl.Station, error) {
 	c = c.withDefaults()
-	return dram.NewChipRef(dram.Config{
+	dev, err := dram.NewDevice(dram.Config{
 		Geometry:   dram.GeometryForBits(c.Bits),
 		Vendor:     c.Vendor,
 		Seed:       c.Seed,
@@ -76,16 +74,6 @@ func (c ChipSpec) Ref() (dram.ChipRef, error) {
 		DisableVRT: c.DisableVRT,
 		DisableDPD: c.DisableDPD,
 	})
-}
-
-// NewStation builds the station for a spec by materializing its ref.
-func (c ChipSpec) NewStation() (*memctrl.Station, error) {
-	c = c.withDefaults()
-	ref, err := c.Ref()
-	if err != nil {
-		return nil, err
-	}
-	dev, err := ref.Materialize()
 	if err != nil {
 		return nil, err
 	}

@@ -2,143 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"testing"
-
-	"reaper/internal/telemetry"
 )
-
-// fleetTestPopConfig is the reduced fleet the parity tests sweep: 2 chips
-// per vendor on small chips, so the dense arm stays cheap.
-func fleetTestPopConfig(workers int) PopulationConfig {
-	cfg := DefaultPopulationConfig()
-	cfg.ChipsPerVendor = 2
-	cfg.ChipBits = 4 << 20
-	cfg.Workers = workers
-	return cfg
-}
-
-func popJSON(t *testing.T, results []PopulationResult) string {
-	t.Helper()
-	b, err := json.Marshal(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// TestPopulationSweepLazyDenseParity is the dense-vs-lazy acceptance
-// property: the historical single-batch path, shard-evicting execution (at
-// several shard sizes, including one that doesn't divide the fleet), and
-// the dense materialize-everything-up-front mode all produce byte-identical
-// results, at workers 1 and 8.
-func TestPopulationSweepLazyDenseParity(t *testing.T) {
-	ctx := context.Background()
-	var ref string
-	for _, workers := range []int{1, 8} {
-		legacy, err := PopulationSweep(ctx, fleetTestPopConfig(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacyJSON := popJSON(t, legacy)
-		if ref == "" {
-			ref = legacyJSON
-		}
-		if legacyJSON != ref {
-			t.Fatalf("workers=%d: legacy sweep differs across worker counts", workers)
-		}
-		for _, shard := range []int{1, 4, 100} {
-			cfg := fleetTestPopConfig(workers)
-			cfg.ShardSize = shard
-			lazy, err := PopulationSweep(ctx, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := popJSON(t, lazy); got != ref {
-				t.Fatalf("workers=%d shard=%d: lazy sweep not byte-identical to legacy", workers, shard)
-			}
-		}
-		dcfg := fleetTestPopConfig(workers)
-		dcfg.Dense = true
-		dense, err := PopulationSweep(ctx, dcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := popJSON(t, dense); got != ref {
-			t.Fatalf("workers=%d: dense sweep not byte-identical to legacy", workers)
-		}
-	}
-}
-
-// TestPopulationFleetCounters pins the fleet lifecycle metrics: over a full
-// sharded sweep every chip is materialized exactly once and evicted exactly
-// once, and no shard is left active — at any worker count, since the shard
-// walk (not the scheduler) drives the counters.
-func TestPopulationFleetCounters(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		reg := telemetry.New()
-		ctx := telemetry.WithRegistry(context.Background(), reg)
-		cfg := fleetTestPopConfig(workers)
-		cfg.ShardSize = 4
-		if _, err := PopulationSweep(ctx, cfg); err != nil {
-			t.Fatal(err)
-		}
-		snap := reg.Snapshot()
-		n := int64(cfg.ChipsPerVendor * 3)
-		if got := snap.Counter("fleet_chips_materialized"); got != n {
-			t.Errorf("workers=%d: fleet_chips_materialized = %d, want %d", workers, got, n)
-		}
-		if got := snap.Counter("fleet_evictions"); got != n {
-			t.Errorf("workers=%d: fleet_evictions = %d, want %d", workers, got, n)
-		}
-		if got := reg.Gauge("fleet_shards_active").Value(); got != 0 {
-			t.Errorf("workers=%d: fleet_shards_active = %v after sweep, want 0", workers, got)
-		}
-	}
-}
-
-// TestPopulationSweepPartialSharded proves the fault-tolerant sweep is also
-// shard-size invariant.
-func TestPopulationSweepPartialSharded(t *testing.T) {
-	ctx := context.Background()
-	flat, _, err := PopulationSweepPartial(ctx, fleetTestPopConfig(8), tolerant(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fleetTestPopConfig(8)
-	cfg.ShardSize = 2
-	sharded, failures, err := PopulationSweepPartial(ctx, cfg, tolerant(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 0 {
-		t.Fatalf("healthy fleet reported failures: %+v", failures)
-	}
-	if popJSON(t, sharded) != popJSON(t, flat) {
-		t.Fatal("sharded partial sweep not byte-identical to flat partial sweep")
-	}
-}
-
-// TestPopulationConfigShardValidation pins the new knob's entry validation.
-func TestPopulationConfigShardValidation(t *testing.T) {
-	cfg := DefaultPopulationConfig()
-	cfg.ShardSize = -1
-	if _, err := PopulationSweep(context.Background(), cfg); err == nil {
-		t.Error("negative shard size not rejected")
-	}
-	cfg = DefaultPopulationConfig()
-	cfg.ShardSize = 2
-	cfg.Dense = true
-	if _, err := PopulationSweep(context.Background(), cfg); err == nil {
-		t.Error("dense + shard size not rejected as mutually exclusive")
-	}
-	cfg = DefaultPopulationConfig()
-	cfg.ChipsPerVendor = -3
-	if _, _, err := PopulationSweepPartial(context.Background(), cfg, tolerant(1)); err == nil {
-		t.Error("negative fleet not rejected by partial sweep")
-	}
-}
 
 // TestSoakShardEvictionByteIdentical extends the kill-after-round-k harness
 // to shard eviction: a checkpointed campaign that evicts every runner at

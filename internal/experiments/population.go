@@ -6,10 +6,8 @@ import (
 
 	"reaper/internal/core"
 	"reaper/internal/dram"
-	"reaper/internal/memctrl"
 	"reaper/internal/parallel"
 	"reaper/internal/stats"
-	"reaper/internal/telemetry"
 )
 
 // The paper's evidence is population-level: 368 chips across three vendors,
@@ -34,21 +32,10 @@ type PopulationConfig struct {
 
 	// Workers bounds the worker pool evaluating chips concurrently; <= 0
 	// means one worker per CPU. Each chip owns its own device and RNG seed,
-	// so the results are identical at any worker count.
+	// so the results are identical at any worker count. A chip's device is
+	// built and dropped inside its own job, so at most Workers devices are
+	// live at once.
 	Workers int
-
-	// ShardSize caps how many chips may hold dense device state at once:
-	// the fleet is swept in consecutive shards of at most ShardSize chips,
-	// each materialized from its seed on spin-up and evicted after its
-	// summary is folded, so peak memory is O(ShardSize), not O(fleet).
-	// <= 0 (with Dense false) keeps the historical single-batch execution.
-	// Results are byte-identical at every shard size and worker count.
-	ShardSize int
-	// Dense pre-materializes every chip's station before any evaluation
-	// starts — the pre-ShardSize behavior, kept as an explicit mode so
-	// benchmarks can measure exactly what lazy execution saves. O(fleet)
-	// memory; mutually exclusive with ShardSize > 0.
-	Dense bool
 }
 
 // DefaultPopulationConfig is a bench-scale fleet.
@@ -92,18 +79,11 @@ func (c PopulationConfig) validate() error {
 	if c.ChipsPerVendor <= 0 {
 		return fmt.Errorf("experiments: fleet size must be positive (chips per vendor %d)", c.ChipsPerVendor)
 	}
-	if c.ShardSize < 0 {
-		return fmt.Errorf("experiments: shard size must be non-negative (got %d)", c.ShardSize)
-	}
-	if c.Dense && c.ShardSize > 0 {
-		return fmt.Errorf("experiments: dense materialization and shard size %d are mutually exclusive", c.ShardSize)
-	}
 	return nil
 }
 
 // populationSpec is the compact, seed-derived description of one flattened
-// (vendor, chip) job — the only per-chip state a fleet sweep holds for chips
-// outside the active shard.
+// (vendor, chip) job.
 func populationSpec(cfg PopulationConfig, vendors []dram.VendorParams, job int) ChipSpec {
 	vi, c := job/cfg.ChipsPerVendor, job%cfg.ChipsPerVendor
 	return ChipSpec{
@@ -114,10 +94,15 @@ func populationSpec(cfg PopulationConfig, vendors []dram.VendorParams, job int) 
 	}
 }
 
-// evalPopulationChip folds one materialized chip into its compact summary.
-// Every profiling draw comes from streams derived from the chip's own seed,
-// so evaluation order across chips cannot affect any result.
-func evalPopulationChip(cfg PopulationConfig, spec ChipSpec, st *memctrl.Station) (ChipResult, error) {
+// populationChip builds, evaluates and releases one job's chip. Every
+// profiling draw comes from streams derived from the chip's own seed, so
+// evaluation order across chips cannot affect any result.
+func populationChip(cfg PopulationConfig, vendors []dram.VendorParams, job int) (ChipResult, error) {
+	spec := populationSpec(cfg, vendors, job)
+	st, err := spec.NewStation()
+	if err != nil {
+		return ChipResult{}, err
+	}
 	truth := core.Truth(st, cfg.TargetInterval, 45)
 	prof, err := core.Reach(st, cfg.TargetInterval, cfg.Reach, core.Options{
 		Iterations:              cfg.Iterations,
@@ -134,44 +119,6 @@ func evalPopulationChip(cfg PopulationConfig, spec ChipSpec, st *memctrl.Station
 		Coverage: core.Coverage(prof.Failures, truth),
 		FPR:      core.FalsePositiveRate(prof.Failures, truth),
 	}, nil
-}
-
-// populationChip materializes, evaluates and releases one job's chip.
-func populationChip(cfg PopulationConfig, vendors []dram.VendorParams, job int) (ChipResult, error) {
-	spec := populationSpec(cfg, vendors, job)
-	st, err := spec.NewStation()
-	if err != nil {
-		return ChipResult{}, err
-	}
-	return evalPopulationChip(cfg, spec, st)
-}
-
-// populationDense is the pre-change execution shape: every station in the
-// fleet is materialized before the first evaluation starts and stays
-// resident until the sweep finishes. It exists so cmd/benchfleet can put a
-// number on the memory the lazy path avoids; it fails fast like
-// PopulationSweep. The fleet lifecycle metrics see one fleet-wide shard.
-func populationDense(ctx context.Context, cfg PopulationConfig, vendors []dram.VendorParams, n int) ([]ChipResult, error) {
-	reg := telemetry.FromContext(ctx)
-	reg.Gauge("fleet_shards_active").Set(1)
-	reg.Counter("fleet_chips_materialized").Add(int64(n))
-	stations, err := parallel.Map(ctx, n, cfg.Workers,
-		func(_ context.Context, job int) (*memctrl.Station, error) {
-			return populationSpec(cfg, vendors, job).NewStation()
-		})
-	if err != nil {
-		return nil, err
-	}
-	chips, err := parallel.Map(ctx, n, cfg.Workers,
-		func(_ context.Context, job int) (ChipResult, error) {
-			return evalPopulationChip(cfg, populationSpec(cfg, vendors, job), stations[job])
-		})
-	if err != nil {
-		return nil, err
-	}
-	reg.Counter("fleet_evictions").Add(int64(n))
-	reg.Gauge("fleet_shards_active").Set(0)
-	return chips, nil
 }
 
 // aggregatePopulation folds the flattened chip results into per-vendor
@@ -228,28 +175,10 @@ func PopulationSweep(ctx context.Context, cfg PopulationConfig) ([]PopulationRes
 	// Flatten the vendor x chip fleet into one job list so a small fleet of
 	// large chips still saturates the pool.
 	n := len(vendors) * cfg.ChipsPerVendor
-	var chips []ChipResult
-	var err error
-	switch {
-	case cfg.Dense:
-		chips, err = populationDense(ctx, cfg, vendors, n)
-	case cfg.ShardSize > 0:
-		var failures []parallel.JobFailure
-		chips, failures, err = runFleetShards(ctx, n, cfg.ShardSize, cfg.Workers, parallel.RetryPolicy{},
-			func(_ context.Context, job int) (ChipResult, error) {
-				return populationChip(cfg, vendors, job)
-			})
-		// PopulationSweep's contract is fail-fast: surface the lowest-index
-		// chip failure as the sweep error, as the flat parallel.Map path does.
-		if err == nil && len(failures) > 0 {
-			err = failures[0].Err
-		}
-	default:
-		chips, err = parallel.Map(ctx, n, cfg.Workers,
-			func(_ context.Context, job int) (ChipResult, error) {
-				return populationChip(cfg, vendors, job)
-			})
-	}
+	chips, err := parallel.Map(ctx, n, cfg.Workers,
+		func(_ context.Context, job int) (ChipResult, error) {
+			return populationChip(cfg, vendors, job)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -270,14 +199,7 @@ func PopulationSweepPartial(ctx context.Context, cfg PopulationConfig, policy pa
 	eval := func(_ context.Context, job int) (ChipResult, error) {
 		return populationChip(cfg, vendors, job)
 	}
-	var chips []ChipResult
-	var failures []parallel.JobFailure
-	var err error
-	if cfg.ShardSize > 0 {
-		chips, failures, err = runFleetShards(ctx, n, cfg.ShardSize, cfg.Workers, policy, eval)
-	} else {
-		chips, failures, err = parallel.MapPartial(ctx, n, cfg.Workers, policy, eval)
-	}
+	chips, failures, err := parallel.MapPartial(ctx, n, cfg.Workers, policy, eval)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -70,4 +70,8 @@ func TestPopulationSweepValidation(t *testing.T) {
 	if _, err := PopulationSweep(context.Background(), cfg); err == nil {
 		t.Error("zero fleet not rejected")
 	}
+	cfg.ChipsPerVendor = -3
+	if _, _, err := PopulationSweepPartial(context.Background(), cfg, tolerant(1)); err == nil {
+		t.Error("negative fleet not rejected by partial sweep")
+	}
 }

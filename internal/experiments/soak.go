@@ -232,6 +232,21 @@ type QuarantinedShard struct {
 	Reason string `json:"reason"`
 }
 
+// fleetWorkers bounds a worker pool by the shard size so the number of
+// concurrently materialized devices never exceeds the shard window. A
+// shardSize <= 0 (keep-alive mode) leaves workers untouched; workers <= 0
+// resolves to the parallel package's default first so the clamp applies to
+// the real pool size.
+func fleetWorkers(workers, shardSize int) int {
+	if workers <= 0 {
+		workers = parallel.DefaultWorkers()
+	}
+	if shardSize > 0 && workers > shardSize {
+		workers = shardSize
+	}
+	return workers
+}
+
 // soakSeeds derives the per-chip seeds up front so the fleet order is fixed.
 func soakSeeds(cfg SoakConfig) []uint64 {
 	root := rng.New(cfg.Seed)

@@ -313,7 +313,6 @@ func runCampaign(ctx context.Context, p *Program, opt RunOptions, reg *telemetry
 				WeakScale:      p.Fleet.WeakScale,
 				Seed:           p.Seed,
 				Workers:        opt.Workers,
-				ShardSize:      s.ShardSize,
 			})
 			if err != nil {
 				return fmt.Errorf("testprog: stage %d (%s): %w", i, s.StageType(), err)

@@ -221,6 +221,39 @@ func TestSoakStageMatchesGoAPI(t *testing.T) {
 	}
 }
 
+// TestPopulationSweepShardSizeIgnored pins the version-1 compatibility of
+// population_sweep.shard_size: the field still loads, changes no byte of the
+// result document, and a negative value still fails validation.
+func TestPopulationSweepShardSizeIgnored(t *testing.T) {
+	program := func(shard string) string {
+		return `{
+  "version": 1,
+  "seed": 11,
+  "fleet": {"bits": 1048576, "weak_scale": 30},
+  "stages": [
+    {"type": "population_sweep", "chips_per_vendor": 1,
+     "target_interval_s": 1.024, "delta_interval_s": 0.25,
+     "iterations": 2` + shard + `}
+  ],
+  "output": {}
+}`
+	}
+	plain := runJSON(t, mustLoad(t, program("")), 2)
+	sharded := runJSON(t, mustLoad(t, program(`, "shard_size": 3`)), 2)
+	if !strings.Contains(string(plain), `"coverage_mean"`) {
+		t.Fatalf("result document carries no population aggregate: %s", plain)
+	}
+	if string(plain) != string(sharded) {
+		t.Fatalf("shard_size changed the result document:\n%s\nvs\n%s", sharded, plain)
+	}
+
+	p := mustLoad(t, program(""))
+	p.Stages[0].(*PopulationSweepStage).ShardSize = -1
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "shard_size") {
+		t.Fatalf("negative shard_size: want a shard_size validation error, got %v", err)
+	}
+}
+
 // TestRunRejectsInvalidProgram covers Run's validation entry.
 func TestRunRejectsInvalidProgram(t *testing.T) {
 	p := &Program{Version: Version, Seed: 1}

@@ -472,11 +472,10 @@ type PopulationSweepStage struct {
 	DeltaTempC     float64 `json:"delta_temp_c,omitempty"`
 	// Iterations is the per-chip profiling rounds; 0 means 16.
 	Iterations int `json:"iterations,omitempty"`
-	// ShardSize caps how many chips are materialized at once
-	// (experiments.PopulationConfig.ShardSize): the sweep runs in
-	// consecutive shards of at most this many devices, so peak memory is
-	// O(shard), not O(fleet). 0 means one fleet-wide batch. Results are
-	// byte-identical at any value.
+	// ShardSize is accepted and ignored: each chip's device is built and
+	// dropped inside its own job, so there is no shard window to size.
+	// Program version 1 keeps the field so existing programs still load
+	// (Load rejects unknown fields); negative values stay invalid.
 	ShardSize int `json:"shard_size,omitempty"`
 }
 
